@@ -16,6 +16,7 @@ versus disabled.  Both numbers are recorded into ``BENCH_service.json`` as
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
@@ -100,6 +101,10 @@ def _drive(scrub: bool, telemetry: bool = True) -> float:
         .random((32,) + entry.model.input_shape)
         .astype(FLOAT_DTYPE)
     )
+    # Collect set-up garbage (and whatever earlier benchmarks left on the
+    # heap) now: otherwise a full collection of that heap, tens of ms, can
+    # land inside either mode's timed window and swamp the scrubber's cost.
+    gc.collect()
     service.start(scrub=scrub)
     try:
         # Warm the worker/caches before timing.

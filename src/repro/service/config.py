@@ -17,9 +17,11 @@ class ServiceConfig:
 
     Attributes:
         max_batch: Inference requests are queued individually and executed as
-            batches of up to this many samples.  Batches execute at their
-            actual occupancy through a per-batch-size compiled forward plan;
-            set ``fixed_batch_shape`` to restore the old pad-to-``max_batch``
+            batches of up to this many samples.  The worker never waits to
+            fill a batch: it serves whatever is queued when it becomes idle,
+            so occupancy follows load.  Batches execute at their actual
+            occupancy through a per-batch-size compiled forward plan; set
+            ``fixed_batch_shape`` to restore the old pad-to-``max_batch``
             behaviour.  The default of 16 sits where the fused per-sample
             forward cost has saturated on the zoo networks while the queue
             depth (and hence worst-case batching latency) stays small.
@@ -48,8 +50,6 @@ class ServiceConfig:
             with fused serving on, its fused plan plus ULP certification)
             when a model's worker starts, so no live request ever pays a
             plan compile or a calibration run.
-        batch_timeout_seconds: How long a worker waits for additional requests
-            to fill a batch before executing a partial one.
         scrub_period_seconds: Period of the background detection scrubber.
             The default follows the availability model: detection on the
             reduced networks costs ~1 ms, so a 0.25 s period keeps the
@@ -97,13 +97,8 @@ class ServiceConfig:
             waits for queue space before shedding the request.
         default_deadline_seconds: Deadline attached to every request that
             does not pass one explicitly (``None`` = no deadline).  Requests
-            whose deadline has already passed when their batch is cut are
-            dropped before compute and counted as shed.
-        deadline_batch_cut: Cut a batch early when the oldest queued
-            request's latency budget is half spent (instead of always
-            waiting the full ``batch_timeout_seconds``), so batching never
-            pushes a request past its deadline just to fill occupancy.
-            Only has an effect on requests that carry deadlines.
+            whose deadline has already passed when their batch is assembled
+            are dropped before compute and counted as shed.
         breaker_enabled: Arm a per-model :class:`~repro.service.breaker.
             CircuitBreaker` that sheds load at admission when the model's
             rolling p99 latency or quarantine depth crosses its threshold,
@@ -149,7 +144,6 @@ class ServiceConfig:
     certify_fusion: bool = True
     fusion_ulp_bound: int = DEFAULT_ULP_BOUND
     precompile_plans: bool = True
-    batch_timeout_seconds: float = 0.002
     scrub_period_seconds: float = 0.25
     scrub_chunk_layers: int = 4
     repair_rtol: float = 1e-3
@@ -166,7 +160,6 @@ class ServiceConfig:
     admission_policy: str = "reject"
     admission_block_timeout_seconds: float = 1.0
     default_deadline_seconds: Optional[float] = None
-    deadline_batch_cut: bool = True
     breaker_enabled: bool = False
     breaker_p99_threshold_seconds: float = 0.25
     breaker_quarantine_depth: int = 4
@@ -184,8 +177,6 @@ class ServiceConfig:
             raise ValueError("max_batch must be at least 1")
         if self.fusion_ulp_bound < 0:
             raise ValueError("fusion_ulp_bound must be non-negative")
-        if self.batch_timeout_seconds < 0:
-            raise ValueError("batch_timeout_seconds must be non-negative")
         if self.scrub_period_seconds <= 0:
             raise ValueError("scrub_period_seconds must be positive")
         if self.scrub_chunk_layers < 1:

@@ -1,10 +1,14 @@
 """Batching inference engine.
 
 Requests arrive one sample at a time (as they would from network handlers),
-are queued per model, and a dedicated worker thread per model drains the
-queue into batches executed through :meth:`Sequential.predict` -- the
+are queued per model, and a dedicated worker thread per model serves them in
+batches.  The gather is work-conserving: the worker blocks for the first
+request only, takes whatever else is already queued (up to ``max_batch``) and
+dispatches at once.  An idle worker never waits for batch-mates; under load
+the queue refills while the previous batch computes, so batches still fill.
+Batches execute through :meth:`Sequential.predict_served` -- the
 plan-compiled fast path, one cached plan per batch occupancy, so partial
-batches no longer pad to ``max_batch`` (unless
+batches are not padded to ``max_batch`` (unless
 ``ServiceConfig.fixed_batch_shape`` is set).  Every request carries
 wall-clock latency accounting from enqueue to completion.
 
@@ -18,10 +22,9 @@ queue is bounded and :meth:`InferenceEngine.submit` becomes an admission
 controller -- a full queue either rejects the request with
 :class:`~repro.exceptions.ServiceOverloadError` or blocks the caller for a
 bounded wait, and an armed circuit breaker sheds at admission when p99
-latency or quarantine depth trips it.  Requests may carry deadlines: the
-batch cut happens no later than half the oldest request's remaining budget,
-and a request whose deadline already passed when its batch is assembled is
-dropped before compute (counted as shed, failed with
+latency or quarantine depth trips it.  Requests may carry deadlines: a
+request whose deadline already passed when its batch is assembled is dropped
+before compute (counted as shed, failed with
 :class:`~repro.exceptions.DeadlineExceededError`).
 """
 
@@ -123,7 +126,7 @@ class InferenceRequest:
 
 
 class InferenceEngine:
-    """Queues single-sample requests and serves them as padded batches."""
+    """Queues single-sample requests and serves them as variable-occupancy batches."""
 
     def __init__(self, registry: ModelRegistry, config: Optional[ServiceConfig] = None):
         self._registry = registry
@@ -437,23 +440,12 @@ class InferenceEngine:
             item = q.get()
             if item is _STOP:
                 return
+            # Work-conserving gather: take what is already queued, never wait.
             batch = [item]
-            now = time.perf_counter()
-            cut = now + config.batch_timeout_seconds
-            if config.deadline_batch_cut and item.deadline is not None:
-                # Deadline-aware cut: stop gathering once the oldest request
-                # has spent half its latency budget, leaving the other half
-                # for compute instead of letting a sparse queue burn it all
-                # waiting for batch-mates.
-                half_spent = item.enqueued_at + 0.5 * (item.deadline - item.enqueued_at)
-                cut = min(cut, half_spent)
             stopping = False
             while len(batch) < config.max_batch:
-                remaining = cut - time.perf_counter()
-                if remaining <= 0:
-                    break
                 try:
-                    extra = q.get(timeout=remaining)
+                    extra = q.get_nowait()
                 except queue.Empty:
                     break
                 if extra is _STOP:

@@ -138,13 +138,15 @@ class Scrubber:
         flagged: list[int] = []
         for start in range(0, len(targets), chunk_size):
             chunk = targets[start : start + chunk_size]
-            # The span times the slice even with telemetry disabled, so the
-            # SLA tracker consumes span durations in both modes.
+            # The span covers the wait for the lock too (``lock_wait_s``), but
+            # Td is only the time the slice holds the lock: while it waits
+            # behind a serving batch the model is answering, not down.
             with telemetry.tracer.span(
                 "scrub.detect_slice",
                 attrs={"model": entry.name, "layers": len(chunk)},
             ) as span:
                 with entry.lock:
+                    held_from = time.perf_counter()
                     report = entry.protector.detect(layer_indices=chunk)
                     bad = [
                         index
@@ -163,7 +165,8 @@ class Scrubber:
                                 entry.name, index, span.start, detected_at
                             )
                         entry.quarantine(bad)
-            total_seconds += span.duration
+                    total_seconds += time.perf_counter() - held_from
+                span.attrs["lock_wait_s"] = held_from - span.start
         entry.tracker.record_detection(total_seconds)
         if telemetry.enabled:
             telemetry.metrics.histogram(

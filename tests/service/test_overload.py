@@ -1,4 +1,5 @@
-"""Tests for overload protection: admission control, deadlines, breaker.
+"""Tests for overload protection: admission control, deadlines, breaker,
+and the work-conserving batch gather.
 
 The wedge idiom: quarantining the model parks its worker inside
 ``wait_healthy`` (holding the model lock) so the bounded queue fills under
@@ -21,6 +22,7 @@ from repro.exceptions import (
     ExperimentError,
     ServiceOverloadError,
 )
+from repro.service import engine as engine_module
 from repro.service import (
     CircuitBreaker,
     SelfHealingService,
@@ -35,7 +37,6 @@ def wedged_service(**overrides):
     fields = dict(
         max_batch=1,
         max_queue_depth=1,
-        batch_timeout_seconds=0.001,
         quarantine_wait_seconds=5.0,
         scrub_period_seconds=30.0,
         recovery_async=False,
@@ -60,8 +61,8 @@ def wait_for_worker_pickup(service, entry, timeout=2.0):
         if time.perf_counter() > deadline:
             raise AssertionError("worker never picked up the head request")
         time.sleep(0.001)
-    # The pop happens before the batch-gather wait; give the worker a beat to
-    # reach wait_healthy so follow-up submits purely fill the queue.
+    # The pop happens before the worker reaches wait_healthy; give it a beat
+    # so follow-up submits purely fill the queue.
     time.sleep(0.05)
 
 
@@ -218,17 +219,10 @@ class TestDeadlines:
         finally:
             service.stop()
 
-    def test_deadline_cuts_the_batch_gather_short(self):
-        # A lone request with a 0.2 s deadline against a 2 s batch window:
-        # the deadline-aware cut fires at half the budget instead of letting
-        # the gather burn the whole window.
-        service = SelfHealingService(
-            ServiceConfig(
-                batch_timeout_seconds=2.0,
-                scrub_period_seconds=30.0,
-                deadline_batch_cut=True,
-            )
-        )
+    def test_lone_deadline_request_is_served_not_shed(self):
+        # A lone request never waits for batch-mates, so a 0.2 s deadline
+        # leaves its whole budget to compute.
+        service = SelfHealingService(ServiceConfig(scrub_period_seconds=30.0))
         entry = service.load_model("mnist_reduced")
         service.start(scrub=False)
         try:
@@ -237,6 +231,67 @@ class TestDeadlines:
             )
             request.result(timeout=1.0)
             assert request.latency_seconds < 0.5
+            assert entry.stats.shed_deadline == 0
+        finally:
+            service.stop()
+
+
+class TestWorkConservingGather:
+    """Batch composition with the worker parked on a quarantine (no sleeps).
+
+    The worker takes the head request, then blocks in ``wait_healthy``;
+    everything submitted after that queues up behind it.  Lifting the
+    quarantine releases the worker, whose occupancies are then fixed by the
+    queue contents alone.
+    """
+
+    @staticmethod
+    def parked_service(monkeypatch):
+        service, entry = wedged_service(max_batch=16, max_queue_depth=0)
+        parked = threading.Event()
+        wait_healthy = entry.wait_healthy
+
+        def signalling_wait_healthy(timeout=None):
+            parked.set()
+            return wait_healthy(timeout=timeout)
+
+        occupancies: list[int] = []
+        predict_served = entry.model.predict_served
+
+        def recording_predict_served(batch, **kwargs):
+            occupancies.append(len(batch))
+            return predict_served(batch, **kwargs)
+
+        monkeypatch.setattr(entry, "wait_healthy", signalling_wait_healthy)
+        monkeypatch.setattr(entry.model, "predict_served", recording_predict_served)
+        head = service.submit(entry.name, sample_for(entry))
+        assert parked.wait(timeout=10.0), "worker never reached wait_healthy"
+        return service, entry, head, occupancies
+
+    def test_serves_what_is_queued_up_to_max_batch(self, monkeypatch):
+        service, entry, head, occupancies = self.parked_service(monkeypatch)
+        try:
+            queued = [service.submit(entry.name, sample_for(entry)) for _ in range(20)]
+            entry.clear_quarantine([entry.parameterized_indices[0]])
+            for request in [head, *queued]:
+                request.result(timeout=10.0)
+            assert occupancies == [1, 16, 4]
+            assert entry.stats.batches_executed == 3
+        finally:
+            service.stop()
+
+    def test_stop_mid_drain_serves_the_drained_batch(self, monkeypatch):
+        service, entry, head, occupancies = self.parked_service(monkeypatch)
+        worker = service.engine._workers[entry.name]
+        try:
+            queued = [service.submit(entry.name, sample_for(entry)) for _ in range(3)]
+            service.engine._queues[entry.name].put(engine_module._STOP)
+            entry.clear_quarantine([entry.parameterized_indices[0]])
+            for request in [head, *queued]:
+                request.result(timeout=10.0)
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+            assert occupancies == [1, 3]
         finally:
             service.stop()
 

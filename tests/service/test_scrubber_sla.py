@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -81,6 +85,49 @@ class TestScrubber:
         report = entry.tracker.report(0.25)
         assert report.detections >= 1
         assert report.recoveries == 0
+
+    def test_lock_wait_is_not_charged_to_detection(self, sync_service, monkeypatch):
+        # A reader holds the model lock for 50 ms right after the first
+        # detection slice opens its span: the slice waits, and that wait shows
+        # on the span as ``lock_wait_s`` but never in the recorded Td.
+        service, entry = sync_service
+        tracer = service.telemetry.tracer
+        span = tracer.span
+        holders: list[threading.Thread] = []
+
+        @contextmanager
+        def contended_span(name, **kwargs):
+            with span(name, **kwargs) as handle:
+                if name == "scrub.detect_slice" and not holders:
+                    acquired = threading.Event()
+
+                    def hold():
+                        with entry.lock:
+                            acquired.set()
+                            time.sleep(0.05)
+
+                    holders.append(threading.Thread(target=hold))
+                    holders[0].start()
+                    assert acquired.wait(timeout=10.0)
+                yield handle
+
+        recorded: list[float] = []
+        record_detection = entry.tracker.record_detection
+
+        def recording(seconds):
+            recorded.append(seconds)
+            record_detection(seconds)
+
+        monkeypatch.setattr(tracer, "span", contended_span)
+        monkeypatch.setattr(entry.tracker, "record_detection", recording)
+        service.scrub_now(entry.name)
+        holders[0].join(timeout=10.0)
+        slices = [s for s in tracer.spans() if s.name == "scrub.detect_slice"]
+        assert slices and all("lock_wait_s" in s.attrs for s in slices)
+        assert slices[0].attrs["lock_wait_s"] >= 0.05
+        held = sum(s.duration - s.attrs["lock_wait_s"] for s in slices)
+        assert len(recorded) == 1
+        assert recorded[0] <= held + 1e-9
 
     def test_accepted_degraded_layer_is_skipped_until_weights_change(
         self, sync_service, golden_weights
