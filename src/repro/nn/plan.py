@@ -10,15 +10,19 @@ everything that makes the per-call path slow:
   and shared process-wide (:mod:`repro.nn.tensor_utils` caches them per
   geometry, so every batch size and every model with the same layer geometry
   reuses the same index arrays),
-* stride-1 convolutions skip the windowed im2col copy entirely: a width-only
-  patch buffer (``F2*C`` copied elements per position instead of ``F1*F2*C``)
-  is consumed through an overlapping strided view by ``np.matmul`` directly
-  (:func:`~repro.nn.tensor_utils.direct_patch_view`).  Exact plans only adopt
-  this formulation after a compile-time *probe* proves the strided GEMM is
-  byte-identical to the reference im2col GEMM at that geometry (BLAS kernel
-  dispatch is shape-dependent, not value-dependent, so probe equality
-  certifies the algorithm); geometries that fail the probe keep the im2col
-  formulation, preserving the bit-identity guarantee unconditionally,
+* stride-1 convolutions can skip the windowed im2col copy entirely: the
+  *direct* formulation gathers a width-only patch buffer (``F2*C`` copied
+  elements per position instead of ``F1*F2*C``) and consumes it through an
+  overlapping strided view by ``np.matmul`` directly
+  (:func:`~repro.nn.tensor_utils.direct_patch_view`), one small GEMM per
+  ``(image, output row)``.  A compile-time *probe* per ``(batch, conv
+  geometry)``, memoized for the process, decides where it is used.  Exact
+  plans adopt it only where the probe proves the strided GEMM byte-identical
+  to the reference im2col GEMM (BLAS kernel dispatch is shape-dependent, not
+  value-dependent, so probe equality certifies the algorithm); geometries
+  that fail keep the im2col formulation, preserving the bit-identity
+  guarantee unconditionally.  Fused plans adopt whichever of the two the
+  probe measured faster (see :func:`conv_probes`),
 * conv→(bias)→ReLU→maxpool chains compile into one scratch pass: the affine
   add, the ReLU and the pooling fold all run on the conv's own output buffer,
   so intermediate activations never round-trip through extra full-size
@@ -43,8 +47,11 @@ certificate.
 
 Fused mode (``fused=True``) folds Bias adds and BatchNorm affines into the
 adjacent Conv2D / DepthwiseConv2D / Dense matmul (BatchNorm scales are folded
-into the kernel itself) and always uses the direct strided-view conv
-formulation.  Fused outputs are *not* bit-identical; they are certified
+into the kernel itself), runs each stride-1 Conv2D in the formulation its
+probe measured faster -- the direct strided view, or an im2col GEMM per
+chunk of a few images -- and records the choice in
+:attr:`ForwardPlan.conv_formulations`.  Fused outputs are *not*
+bit-identical; they are certified
 per ``(network weight fingerprint, batch size)`` by
 :func:`certify_fusion` -- a seeded calibration batch through the fused and
 exact plans with the max ULP divergence bounded -- before the service serves
@@ -59,13 +66,15 @@ regardless of thread scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -94,6 +103,9 @@ __all__ = [
     "SlicedForwardPlan",
     "FusionCertificate",
     "compile_plan",
+    "conv_probes",
+    "ConvProbe",
+    "ConvShape",
     "certify_fusion",
     "ulp_distance",
     "plan_weight_fingerprint",
@@ -116,7 +128,7 @@ DEFAULT_ULP_BOUND = 1024
 #: Smallest batch the fused path will split across the slice thread pool.
 SLICE_MIN_BATCH = 256
 
-#: Seed for the compile-time GEMM bit-identity probes.
+#: Seed for the compile-time conv formulation probes.
 _PROBE_SEED = 0x9E3779B9
 #: Seed base for the fusion-certification calibration batches.
 _CALIBRATION_SEED = 0xC417
@@ -332,6 +344,7 @@ class ForwardPlan:
         "fused",
         "certificate",
         "folded_affines",
+        "conv_formulations",
         "weights_digest",
         "_steps",
         "_captured",
@@ -347,6 +360,7 @@ class ForwardPlan:
         captured: list[tuple[Layer, int, bytes]],
         result_provenance: str = "scratch",
         folded_affines: tuple[str, ...] = (),
+        conv_formulations: tuple[tuple[str, str], ...] = (),
     ):
         self.batch_size = batch_size
         self.fused = fused
@@ -355,6 +369,8 @@ class ForwardPlan:
         self.certificate: Optional[FusionCertificate] = None
         #: Names of affine layers folded into an adjacent matmul kernel.
         self.folded_affines = folded_affines
+        #: ``(layer name, "direct" | "im2col")`` per Conv2D step, in order.
+        self.conv_formulations = conv_formulations
         self._steps = steps
         #: ``(layer, weights_version at compile, blake2b fingerprint at
         #: compile)`` for every parameterized layer the plan touched.
@@ -482,7 +498,15 @@ class SlicedForwardPlan:
     unconditionally bit-identical to the seed forward.
     """
 
-    __slots__ = ("batch_size", "fused", "certificate", "folded_affines", "_slices", "_workers")
+    __slots__ = (
+        "batch_size",
+        "fused",
+        "certificate",
+        "folded_affines",
+        "conv_formulations",
+        "_slices",
+        "_workers",
+    )
 
     def __init__(
         self,
@@ -494,6 +518,9 @@ class SlicedForwardPlan:
         self.fused = True
         self.certificate: Optional[FusionCertificate] = None
         self.folded_affines = slices[0][2].folded_affines if slices else ()
+        #: The first slice's choices; each slice plan carries its own (slice
+        #: sizes differ by at most one image).
+        self.conv_formulations = slices[0][2].conv_formulations if slices else ()
         self._slices = slices
         self._workers = workers
 
@@ -544,57 +571,225 @@ PlanLike = Union[ForwardPlan, SlicedForwardPlan]
 
 
 # ---------------------------------------------------------------------- #
-# Direct-GEMM bit-identity probes
+# Conv formulation probes
 # ---------------------------------------------------------------------- #
-#: Probe verdicts per conv geometry: whether the strided-view stacked GEMM is
-#: byte-identical to the reference flat im2col GEMM at that shape.  BLAS
-#: kernel/blocking selection depends on shapes and strides, never on operand
-#: values, so one seeded probe per geometry settles the question for the
-#: process lifetime.
-_DIRECT_GEMM_VERDICTS: dict[tuple, bool] = {}
+class ConvShape(NamedTuple):
+    """Geometry of a Conv2D; stride-1 probes are memoized under it."""
+
+    out_h: int
+    out_w: int
+    padded_h: int
+    padded_w: int
+    f1: int
+    f2: int
+    channels: int
+    filters: int
+
+    @classmethod
+    def of(cls, layer: Conv2D) -> "ConvShape":
+        padded_h, padded_w, channels, _height, _origin = _conv_geometry(layer)
+        out_h, out_w, filters = layer.output_shape
+        f1, f2 = layer.kernel_size
+        return cls(out_h, out_w, padded_h, padded_w, f1, f2, channels, filters)
+
+    def im2col_chunk(self, batch: int) -> int:
+        """Images per fused im2col GEMM at ``batch``.
+
+        Sized so the patch buffer is no larger than the direct formulation's
+        width buffer at the same batch (``padded_h`` rows per image against
+        ``out_h * f1``), down to a floor of one image: past the smallest
+        batches, choosing im2col never grows a plan's conv scratch, however
+        many occupancies a service keeps warm.
+        """
+        return max(1, min(batch, _CONV_CHUNK) * self.padded_h // (self.out_h * self.f1))
 
 
-def _direct_conv_verdict(
-    batch: int,
-    out_h: int,
-    out_w: int,
-    padded_h: int,
-    f1: int,
-    f2: int,
-    channels: int,
-    filters: int,
-) -> bool:
-    """Probe whether the direct strided conv GEMM is bit-exact here.
+@dataclass
+class ConvProbe:
+    """What the probe measured for one ``(batch, ConvShape)``.
+
+    ``direct_us`` / ``im2col_us`` are the best per-sample times of the two
+    formulations a fused conv step can run at that batch, timed on the same
+    images (:func:`_probe_sample`); ``identical`` is the byte-identity
+    verdict exact plans need.  Each part is measured the first time a plan of
+    the kind that needs it asks, and stays ``None`` until then.
+    """
+
+    direct_us: Optional[float] = None
+    im2col_us: Optional[float] = None
+    identical: Optional[bool] = None
+
+    @property
+    def direct_faster(self) -> bool:
+        return self.direct_us <= self.im2col_us
+
+
+#: Probe records per ``(batch, ConvShape)``, kept for the process lifetime.
+#: BLAS kernel/blocking selection depends on shapes and strides, never on
+#: operand values, so one seeded probe per key settles the identity verdict
+#: for good, and the host the timings describe does not change under a
+#: running process.
+_CONV_PROBES: dict[tuple[int, ConvShape], ConvProbe] = {}
+#: Seeded ``(padded image, kernel matrix)`` operands per geometry.
+_PROBE_OPERANDS: dict[ConvShape, tuple[np.ndarray, np.ndarray]] = {}
+#: Interleaved timing rounds per probe (the best round of each formulation
+#: counts): at least the minimum, then more while the probe has spent less
+#: than its budget, so a geometry whose sample takes tens of µs still rises
+#: above scheduler noise.
+_PROBE_MIN_ROUNDS = 3
+_PROBE_MAX_ROUNDS = 64
+_PROBE_BUDGET_S = 0.002
+#: Conv work (FLOPs) one timed sample should cover; see :func:`_probe_sample`.
+_PROBE_FLOPS = 2e7
+
+
+def conv_probes() -> dict[tuple[int, ConvShape], ConvProbe]:
+    """Snapshot of every conv probe this process ran, keyed by
+    ``(batch, ConvShape)``: the measured times behind each plan's
+    :attr:`ForwardPlan.conv_formulations`."""
+    return dict(_CONV_PROBES)
+
+
+def _probe_operands(shape: ConvShape) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded padded image and kernel per geometry, drawn once.
+
+    Batches are filled by repeating the image: the probe's questions (which
+    GEMM decomposition BLAS runs, and how fast) depend on shapes, not values.
+    """
+    operands = _PROBE_OPERANDS.get(shape)
+    if operands is None:
+        rng = np.random.default_rng(_PROBE_SEED)
+        image = rng.standard_normal(
+            (1, shape.padded_h, shape.padded_w, shape.channels), dtype=FLOAT_DTYPE
+        )
+        kernel = rng.standard_normal(
+            (shape.f1 * shape.f2 * shape.channels, shape.filters), dtype=FLOAT_DTYPE
+        )
+        operands = _PROBE_OPERANDS[shape] = (image, kernel)
+    return operands
+
+
+def _width_patches(shape: ConvShape, images: int, source: np.ndarray):
+    """``(width buffer, its direct patch view)`` gathered from ``source``."""
+    width_buf = np.empty(
+        (images, shape.out_w, shape.padded_h, shape.f2 * shape.channels),
+        dtype=FLOAT_DTYPE,
+    )
+    im2col_width_into(
+        source,
+        shape.f2,
+        width_buf.reshape(images, shape.out_w, shape.padded_h, shape.f2, shape.channels),
+    )
+    return width_buf, direct_patch_view(width_buf, shape.f1, shape.out_h)
+
+
+def _probe_sample(shape: ConvShape, batch: int) -> tuple[int, int]:
+    """``(images, im2col chunk)`` the probe times for a fused step at ``batch``.
+
+    The sample covers at least one im2col chunk and about
+    :data:`_PROBE_FLOPS` of conv work (capped at the step's direct chunk):
+    a small geometry then amortizes per-call overhead the way the step does
+    at that batch, while a large one, whose per-sample cost is flat in the
+    batch, is probed on one or two images.
+    """
+    chunk = shape.im2col_chunk(batch)
+    flops = 2 * shape.out_h * shape.out_w * shape.f1 * shape.f2 * shape.channels * shape.filters
+    images = min(batch, _CONV_CHUNK, math.ceil(_PROBE_FLOPS / flops))
+    return max(chunk, images), chunk
+
+
+@functools.lru_cache(maxsize=None)
+def _time_formulations(shape: ConvShape, images: int, chunk: int) -> tuple[float, float]:
+    """Best per-sample µs of ``(direct, im2col)`` over the same ``images``.
+
+    Each formulation processes them the way a fused step would: the width
+    gather plus one strided GEMM, and the patch gather plus one GEMM per
+    ``chunk`` images.  Every buffer is allocated and touched before the clock
+    starts (a fresh buffer's page faults would bias whichever formulation
+    runs first), and the two alternate over :data:`_PROBE_MIN_ROUNDS` or
+    more rounds.  Batches whose steps share a sample share the measurement.
+    This is the one timing seam: tests replace it to force a ranking.
+    """
+    image, kernel = _probe_operands(shape)
+    positions = shape.out_h * shape.out_w
+    source = np.empty((images,) + image.shape[1:], dtype=FLOAT_DTYPE)
+    np.copyto(source, image)
+    width_buf, patch_view = _width_patches(shape, images, source)
+    width_view = width_buf.reshape(width_buf.shape[:3] + (shape.f2, shape.channels))
+    patch_buf = np.full((chunk, positions, kernel.shape[0]), 0.0, dtype=FLOAT_DTYPE)
+    patch_split = patch_buf.reshape(
+        chunk, shape.out_h, shape.out_w, shape.f1, shape.f2, shape.channels
+    )
+    out = np.full((images * positions, shape.filters), 0.0, dtype=FLOAT_DTYPE)
+    direct_out = out.reshape(images, shape.out_h, shape.out_w, shape.filters)
+
+    def direct() -> float:
+        started = time.perf_counter()
+        im2col_width_into(source, shape.f2, width_view)
+        np.matmul(patch_view, kernel, out=direct_out)
+        return time.perf_counter() - started
+
+    def im2col() -> float:
+        started = time.perf_counter()
+        for c0 in range(0, images, chunk):
+            n = min(chunk, images - c0)
+            im2col_into(source[c0 : c0 + n], (shape.f1, shape.f2), (1, 1), patch_split[:n])
+            np.matmul(
+                patch_buf[:n].reshape(n * positions, -1),
+                kernel,
+                out=out[c0 * positions : (c0 + n) * positions],
+            )
+        return time.perf_counter() - started
+
+    direct_s = im2col_s = float("inf")
+    began = time.perf_counter()
+    for rounds in range(1, _PROBE_MAX_ROUNDS + 1):
+        direct_s = min(direct_s, direct())
+        im2col_s = min(im2col_s, im2col())
+        if rounds >= _PROBE_MIN_ROUNDS and time.perf_counter() - began >= _PROBE_BUDGET_S:
+            break
+    return direct_s * 1e6 / images, im2col_s * 1e6 / images
+
+
+def _direct_gemm_identical(shape: ConvShape, batch: int) -> bool:
+    """Whether the direct strided GEMM is byte-identical to the reference.
 
     Builds the exact buffer/view layout the direct step would use (same
-    shapes, same strides) with seeded random operands, and byte-compares the
-    strided 4-D ``np.matmul`` against the reference flat ``(B*P, taps)`` GEMM
-    the im2col formulation performs.  The only difference between the two
-    formulations is the GEMM decomposition (per-row ``M = G2`` panels vs one
-    ``M = B*G1*G2`` product); patch extraction itself is a pure copy.
+    shapes, same strides) and byte-compares the strided 4-D ``np.matmul``
+    against the flat ``(B*P, taps)`` GEMM the exact im2col formulation
+    performs.  The only difference between the two formulations is the GEMM
+    decomposition (per-row ``M = G2`` panels vs one ``M = B*G1*G2`` product);
+    patch extraction itself is a pure copy.
     """
-    key = (batch, out_h, out_w, padded_h, f1, f2, channels, filters)
-    cached = _DIRECT_GEMM_VERDICTS.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(_PROBE_SEED)
-    taps_w = f2 * channels
-    taps = f1 * taps_w
-    width_buf = np.ascontiguousarray(
-        rng.standard_normal((batch, out_w, padded_h, taps_w)), dtype=FLOAT_DTYPE
+    image, kernel = _probe_operands(shape)
+    image_width, _view = _width_patches(shape, 1, image)
+    width_buf = np.empty((batch,) + image_width.shape[1:], dtype=FLOAT_DTYPE)
+    np.copyto(width_buf, image_width)
+    patch_view = direct_patch_view(width_buf, shape.f1, shape.out_h)
+    direct_out = np.empty(
+        (batch, shape.out_h, shape.out_w, shape.filters), dtype=FLOAT_DTYPE
     )
-    kernel = np.ascontiguousarray(
-        rng.standard_normal((taps, filters)), dtype=FLOAT_DTYPE
-    )
-    patch_view = direct_patch_view(width_buf, f1, out_h)
-    direct_out = np.empty((batch, out_h, out_w, filters), dtype=FLOAT_DTYPE)
     np.matmul(patch_view, kernel, out=direct_out)
-    reference_mat = np.ascontiguousarray(patch_view).reshape(-1, taps)
-    reference_out = np.empty((reference_mat.shape[0], filters), dtype=FLOAT_DTYPE)
+    reference_mat = np.ascontiguousarray(patch_view).reshape(-1, kernel.shape[0])
+    reference_out = np.empty((reference_mat.shape[0], shape.filters), dtype=FLOAT_DTYPE)
     np.matmul(reference_mat, kernel, out=reference_out)
-    verdict = direct_out.tobytes() == reference_out.tobytes()
-    _DIRECT_GEMM_VERDICTS[key] = verdict
-    return verdict
+    return direct_out.tobytes() == reference_out.tobytes()
+
+
+def _conv_probe(shape: ConvShape, batch: int, exact: bool) -> ConvProbe:
+    """The memoized probe record for ``(batch, shape)``, completed for the
+    plan kind asking: exact plans need the byte-identity verdict, fused plans
+    the timings.  Neither pays for the other's part -- the identity check's
+    reference GEMM needs a full-batch patch matrix, which a fused plan at
+    batch 256 on a large network has no use for."""
+    probe = _CONV_PROBES.setdefault((batch, shape), ConvProbe())
+    if exact and probe.identical is None:
+        probe.identical = _direct_gemm_identical(shape, batch)
+    if not exact and probe.direct_us is None:
+        probe.direct_us, probe.im2col_us = _time_formulations(
+            shape, *_probe_sample(shape, batch)
+        )
+    return probe
 
 
 # ---------------------------------------------------------------------- #
@@ -688,13 +883,23 @@ def _conv_block_step(
     relu: bool,
     pool: Optional[_Pool2D],
     direct: bool,
+    fused: bool,
 ) -> PlanStep:
     """One scratch pass over conv → (affine) → (ReLU) → (maxpool).
 
-    ``direct=True`` compiles the im2col-free formulation: a width-only patch
-    buffer plus an overlapping strided view consumed by ``np.matmul``
-    directly.  Everything downstream of the matmul operates on the conv's own
-    output buffer in place, so a fused chain never materializes intermediate
+    Two formulations compute the conv itself:
+
+    * ``direct=True`` (stride 1 only) is im2col-free: a width-only patch
+      buffer plus an overlapping strided view consumed by ``np.matmul``
+      directly, i.e. one small GEMM (``M = out_w``) per ``(image, row)``.
+    * otherwise the full im2col patch matrix feeds one GEMM over
+      ``M = images * positions``.  Exact plans run it over the whole batch --
+      the seed's single product, hence bit-identical; fused plans run it per
+      :meth:`ConvShape.im2col_chunk` images, so its patch buffer is never
+      larger than the direct formulation's width buffer would be.
+
+    Everything downstream of the matmul operates on the conv's own output
+    buffer in place, so a fused chain never materializes intermediate
     activations in separate full-size buffers.
 
     The epilogue runs pool-first (conv -> maxpool -> affine add -> ReLU) even
@@ -707,12 +912,13 @@ def _conv_block_step(
     first shrinks the affine/ReLU passes by the pool area, which is most of
     the epilogue's memory traffic at batch 256.
 
-    The direct path additionally tiles the whole block over batch chunks of
-    :data:`_CONV_CHUNK`: the padding buffer, width buffer, and pre-pool
-    activation are chunk-sized scratch that stays cache-resident from the
-    patch gather through the epilogue.  Chunking is bit-neutral because the
-    strided matmul dispatches one GEMM per ``(image, row)`` panel regardless
-    of how many images share a buffer, and every other stage is elementwise.
+    The whole block is tiled over batch chunks (:data:`_CONV_CHUNK` images
+    for the direct formulation): the padding buffer, gather buffer, and
+    pre-pool activation are chunk-sized scratch that stays cache-resident
+    from the patch gather through the epilogue.  Direct chunking is
+    bit-neutral because the strided matmul dispatches one GEMM per
+    ``(image, row)`` panel regardless of how many images share a buffer, and
+    every other stage is elementwise.
     """
     padded_h, padded_w, channels, height, origin = _conv_geometry(layer)
     width = layer.input_shape[1]
@@ -727,94 +933,72 @@ def _conv_block_step(
         slice(left, left + width),
         slice(None),
     )
+    if direct:
+        chunk = min(_CONV_CHUNK, batch)
+        width_buf = np.empty((chunk, out_w, padded_h, f2 * channels), dtype=FLOAT_DTYPE)
+        width_view = width_buf.reshape(chunk, out_w, padded_h, f2, channels)
+        patch_view = direct_patch_view(width_buf, f1, out_h)
+
+        def conv(source: np.ndarray, n: int, out: np.ndarray) -> None:
+            im2col_width_into(source, f2, width_view[:n])
+            np.matmul(patch_view[:n], kernel_matrix, out=out)
+
+    else:
+        chunk = ConvShape.of(layer).im2col_chunk(batch) if fused else max(1, batch)
+        positions = out_h * out_w
+        patch_buf = np.empty((chunk, positions, f1 * f2 * channels), dtype=FLOAT_DTYPE)
+        patch_split = patch_buf.reshape(chunk, out_h, out_w, f1, f2, channels)
+
+        def conv(source: np.ndarray, n: int, out: np.ndarray) -> None:
+            im2col_into(source, (f1, f2), stride, patch_split[:n])
+            np.matmul(
+                patch_buf[:n].reshape(n * positions, -1),
+                kernel_matrix,
+                out=out.reshape(n * positions, filters),
+            )
+
+    pad_buf = (
+        np.zeros((chunk, padded_h, padded_w, channels), dtype=FLOAT_DTYPE)
+        if origin is not None
+        else None
+    )
     if pool is not None:
         p_h, p_w, _ = pool.output_shape
         p1, p2 = pool.pool_size
         ps1, ps2 = pool.stride
         offsets = [(a, b) for a in range(p1) for b in range(p2)]
-
-    if direct:
-        final_buf = np.empty(
-            (batch, p_h, p_w, filters) if pool is not None else (batch, out_h, out_w, filters),
-            dtype=FLOAT_DTYPE,
-        )
-        chunk = min(_CONV_CHUNK, batch)
-        taps_w = f2 * channels
-        pad_buf = (
-            np.zeros((chunk, padded_h, padded_w, channels), dtype=FLOAT_DTYPE)
-            if origin is not None
-            else None
-        )
-        width_buf = np.empty((chunk, out_w, padded_h, taps_w), dtype=FLOAT_DTYPE)
-        width_view = width_buf.reshape(chunk, out_w, padded_h, f2, channels)
-        patch_view = direct_patch_view(width_buf, f1, out_h)
-        conv_chunk = (
-            np.empty((chunk, out_h, out_w, filters), dtype=FLOAT_DTYPE)
-            if pool is not None
-            else None
-        )
-
-        def run(x: np.ndarray) -> np.ndarray:
-            for c0 in range(0, batch, chunk):
-                c1 = min(c0 + chunk, batch)
-                n = c1 - c0
-                if pad_buf is not None:
-                    pad_buf[:n, top : top + height, left : left + width, :] = x[c0:c1]
-                    source = pad_buf[:n]
-                else:
-                    source = x[c0:c1]
-                im2col_width_into(source, f2, width_view[:n])
-                target = final_buf[c0:c1]
-                if pool is not None:
-                    cc = conv_chunk[:n]
-                    np.matmul(patch_view[:n], kernel_matrix, out=cc)
-                    np.copyto(target, cc[:, 0 : p_h * ps1 : ps1, 0 : p_w * ps2 : ps2, :])
-                    for a, b in offsets[1:]:
-                        np.maximum(
-                            target,
-                            cc[:, a : a + p_h * ps1 : ps1, b : b + p_w * ps2 : ps2, :],
-                            out=target,
-                        )
-                else:
-                    np.matmul(patch_view[:n], kernel_matrix, out=target)
-                if add_values is not None:
-                    np.add(target, add_values, out=target)
-                if relu:
-                    np.maximum(target, 0.0, out=target)
-            return final_buf
-
+        final_buf = np.empty((batch, p_h, p_w, filters), dtype=FLOAT_DTYPE)
+        conv_chunk = np.empty((chunk, out_h, out_w, filters), dtype=FLOAT_DTYPE)
     else:
-        out_buf = np.empty((batch, out_h, out_w, filters), dtype=FLOAT_DTYPE)
-        pad_buf = (
-            np.zeros((batch, padded_h, padded_w, channels), dtype=FLOAT_DTYPE)
-            if origin is not None
-            else None
-        )
-        positions = out_h * out_w
-        taps = f1 * f2 * channels
-        patch_buf = np.empty((batch, positions, taps), dtype=FLOAT_DTYPE)
-        patch_mat = patch_buf.reshape(batch * positions, taps)
-        patch_split = patch_buf.reshape(batch, out_h, out_w, f1, f2, channels)
-        out_mat = out_buf.reshape(batch * positions, filters)
+        final_buf = np.empty((batch, out_h, out_w, filters), dtype=FLOAT_DTYPE)
 
-        pool_apply = None
-        if pool is not None:
-            _pool_buf, pool_apply = _maxpool_fold(pool, batch)
-
-        def run(x: np.ndarray) -> np.ndarray:
+    def run(x: np.ndarray) -> np.ndarray:
+        for c0 in range(0, batch, chunk):
+            c1 = min(c0 + chunk, batch)
+            n = c1 - c0
             if pad_buf is not None:
-                pad_buf[:, top : top + height, left : left + width, :] = x
-                source = pad_buf
+                pad_buf[:n, top : top + height, left : left + width, :] = x[c0:c1]
+                source = pad_buf[:n]
             else:
-                source = x
-            im2col_into(source, (f1, f2), stride, patch_split)
-            np.matmul(patch_mat, kernel_matrix, out=out_mat)
-            target = pool_apply(out_buf) if pool_apply is not None else out_buf
+                source = x[c0:c1]
+            target = final_buf[c0:c1]
+            if pool is not None:
+                cc = conv_chunk[:n]
+                conv(source, n, cc)
+                np.copyto(target, cc[:, 0 : p_h * ps1 : ps1, 0 : p_w * ps2 : ps2, :])
+                for a, b in offsets[1:]:
+                    np.maximum(
+                        target,
+                        cc[:, a : a + p_h * ps1 : ps1, b : b + p_w * ps2 : ps2, :],
+                        out=target,
+                    )
+            else:
+                conv(source, n, target)
             if add_values is not None:
                 np.add(target, add_values, out=target)
             if relu:
                 np.maximum(target, 0.0, out=target)
-            return target
+        return final_buf
 
     if pad_buf is not None:
         run.scratch_guard = ScratchGuard(layer.name, pad_buf, interior)
@@ -1214,6 +1398,7 @@ def _compile_monolithic(model, batch_size: int, fused: bool) -> ForwardPlan:
     steps: list[PlanStep] = []
     captured: list[tuple[Layer, int, bytes]] = []
     folded: list[str] = []
+    formulations: list[tuple[str, str]] = []
     layers = list(model.layers)
     index = 0
     provenance = _INPUT
@@ -1224,24 +1409,14 @@ def _compile_monolithic(model, batch_size: int, fused: bool) -> ForwardPlan:
                 model, layers, index, fused
             )
             if isinstance(layer, Conv2D):
-                direct = (
-                    batch_size > 0
-                    and layer.stride == (1, 1)
-                    and (
-                        fused
-                        or _direct_conv_verdict(
-                            batch_size,
-                            layer.output_shape[0],
-                            layer.output_shape[1],
-                            _conv_geometry(layer)[0],
-                            layer.kernel_size[0],
-                            layer.kernel_size[1],
-                            layer.input_shape[2],
-                            layer.output_shape[2],
-                        )
-                    )
+                direct = batch_size > 0 and layer.stride == (1, 1)
+                if direct:
+                    probe = _conv_probe(ConvShape.of(layer), batch_size, not fused)
+                    direct = probe.direct_faster if fused else probe.identical
+                step = _conv_block_step(
+                    layer, batch_size, affine, relu, pool, direct, fused
                 )
-                step = _conv_block_step(layer, batch_size, affine, relu, pool, direct)
+                formulations.append((layer.name, "direct" if direct else "im2col"))
             elif isinstance(layer, DepthwiseConv2D):
                 step = _depthwise_block_step(
                     layer, batch_size, affine, relu, pool, fused
@@ -1276,7 +1451,13 @@ def _compile_monolithic(model, batch_size: int, fused: bool) -> ForwardPlan:
                 )
             index += 1
     return ForwardPlan(
-        batch_size, fused, steps, captured, provenance, tuple(folded)
+        batch_size,
+        fused,
+        steps,
+        captured,
+        provenance,
+        tuple(folded),
+        tuple(formulations),
     )
 
 
@@ -1297,10 +1478,13 @@ def compile_plan(
     thread pool when more than one worker is available
     (``slice_workers=None`` uses :func:`slice_worker_count`).
 
-    Exact plans (``fused=False``) stay unconditionally bit-identical to the
-    seed forward: they consume only bit-preserving chain members (Bias
-    epilogue, in-place ReLU, max-pool fold) and adopt the im2col-free conv
-    formulation only where the compile-time GEMM probe proved byte-identity.
+    Each stride-1 Conv2D step picks its formulation through the memoized
+    ``(batch, geometry)`` probe (:func:`conv_probes`): fused plans take the
+    direct strided GEMM where it measured faster than the chunked im2col GEMM
+    and im2col elsewhere.  Exact plans (``fused=False``) stay unconditionally
+    bit-identical to the seed forward: they consume only bit-preserving chain
+    members (Bias epilogue, in-place ReLU, max-pool fold) and adopt the
+    direct formulation only where the probe proved it byte-identical.
     """
     if batch_size < 0:
         raise ShapeError(f"batch size must be non-negative, got {batch_size}")

@@ -31,7 +31,9 @@ class ServiceConfig:
             default: variable-occupancy batches are served unpadded and the
             padded/real sample split is observable in ``RequestStats``.
         fused_forward: Serve batches through the fused forward plan (affines
-            folded into the adjacent matmul, im2col-free stride-1 convs,
+            folded into the adjacent matmul, each stride-1 conv in the
+            formulation -- direct strided GEMM or chunked im2col -- that a
+            compile-time probe measured faster at that batch size,
             conv→ReLU→maxpool chain fusion).  On by default, but gated per
             network by ULP certification (see ``certify_fusion``): a network
             that fails certification at a batch size silently falls back to

@@ -9,6 +9,8 @@ keeps byte-identical plans alive while dropping the rest.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,9 @@ from repro.nn import (
     ZeroPadding2D,
     compile_plan,
 )
+from repro.nn import plan as plan_module
 from repro.nn.model import PLAN_CACHE_SIZE
-from repro.nn.plan import plan_weight_fingerprint
+from repro.nn.plan import ConvShape, conv_probes, plan_weight_fingerprint
 from repro.zoo import network_table
 
 
@@ -395,6 +398,124 @@ class TestSlicedPlans:
         model = network_table()["mnist_reduced"].builder()
         plan = compile_plan(model, 32, fused=True, slice_workers=3)
         assert not isinstance(plan, SlicedForwardPlan)
+
+
+#: Per-sample µs ``(direct, im2col)`` the timing seam reports per ranking.
+FORCED_TIMES = {"direct": (1.0, 2.0), "im2col": (2.0, 1.0)}
+
+
+@pytest.fixture
+def forced_ranking(monkeypatch):
+    """Force the conv probe's timing through its one seam, on a fresh memo."""
+
+    def force(ranking: str) -> None:
+        times = FORCED_TIMES[ranking]
+        monkeypatch.setattr(plan_module, "_CONV_PROBES", {})
+        monkeypatch.setattr(plan_module, "_time_formulations", lambda *_args: times)
+
+    return force
+
+
+def _conv_names(model: Sequential) -> list[str]:
+    return [layer.name for layer in model.layers if isinstance(layer, Conv2D)]
+
+
+class TestConvFormulationChoice:
+    """Fused plans pick each stride-1 conv's formulation by measured time;
+    exact plans pick it by byte identity alone."""
+
+    @pytest.mark.parametrize("ranking", sorted(FORCED_TIMES))
+    def test_exact_plans_never_adopt_a_non_identical_direct_gemm(
+        self, forced_ranking, monkeypatch, ranking
+    ):
+        forced_ranking(ranking)
+        monkeypatch.setattr(plan_module, "_direct_gemm_identical", lambda *_args: False)
+        spec = network_table()["cifar_reduced"]
+        model = spec.builder()
+        # A fused compile first, so the probe records hold timings that say
+        # "direct" under the direct ranking before the exact plan asks.
+        compile_plan(model, 3, fused=True)
+        plan = compile_plan(model, 3)
+        assert {form for _name, form in plan.conv_formulations} == {"im2col"}
+        rng = np.random.default_rng(11)
+        inputs = rng.random((3,) + spec.input_shape).astype(np.float32)
+        assert plan.execute(inputs).tobytes() == model.predict(
+            inputs, use_plan=False
+        ).tobytes()
+
+    @pytest.mark.parametrize("ranking", sorted(FORCED_TIMES))
+    def test_fused_plans_follow_the_measured_ranking(self, forced_ranking, ranking):
+        forced_ranking(ranking)
+        for name in ("mnist_reduced", "cifar_large"):
+            model = network_table()[name].builder()
+            for batch in (1, 5, 16):
+                plan = compile_plan(model, batch, fused=True)
+                assert plan.conv_formulations == tuple(
+                    (conv, ranking) for conv in _conv_names(model)
+                )
+
+    @pytest.mark.parametrize("ranking", sorted(FORCED_TIMES))
+    @pytest.mark.parametrize("name", sorted(network_table()))
+    def test_zoo_bit_identity_under_forced_ranking(self, forced_ranking, ranking, name):
+        forced_ranking(ranking)
+        TestZooBitIdentity().test_every_zoo_network_is_bit_identical(name)
+
+    @pytest.mark.parametrize("name", sorted(network_table()))
+    def test_forced_im2col_certifies_every_zoo_network(self, forced_ranking, name):
+        forced_ranking("im2col")
+        spec = network_table()[name]
+        model = spec.builder()
+        rng = np.random.default_rng(13)
+        for occupancy in (1, 2, 16):
+            inputs = rng.random((occupancy,) + spec.input_shape).astype(np.float32)
+            _outputs, info = model.predict_served(inputs, fused=True)
+            assert info["mode"] == "fused", (name, occupancy, info["certificate"])
+            assert info["certificate"].certified
+        for plan in model.cached_plans():
+            if plan.fused:
+                assert {f for _n, f in plan.conv_formulations} <= {"im2col"}
+
+    @pytest.mark.parametrize("batch", [16, 256])
+    def test_im2col_scratch_never_exceeds_direct(self, forced_ranking, batch):
+        model = network_table()["cifar_large"].builder()
+        peaks = {}
+        for ranking in ("direct", "im2col"):
+            forced_ranking(ranking)
+            tracemalloc.start()
+            try:
+                plan = compile_plan(model, batch, fused=True, slice_workers=1)
+                peaks[ranking] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert {f for _n, f in plan.conv_formulations} == {ranking}
+            del plan
+        assert peaks["im2col"] <= peaks["direct"], peaks
+
+    def test_probe_memo_records_times_and_verdict(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "_CONV_PROBES", {})
+        model = network_table()["mnist_reduced"].builder()
+        fused = compile_plan(model, 3, fused=True)
+        convs = [layer for layer in model.layers if isinstance(layer, Conv2D)]
+        assert [name for name, _form in fused.conv_formulations] == _conv_names(model)
+        for layer, (_name, form) in zip(convs, fused.conv_formulations):
+            probe = conv_probes()[(3, ConvShape.of(layer))]
+            assert probe.direct_us > 0 and probe.im2col_us > 0
+            assert form == ("direct" if probe.direct_faster else "im2col")
+            # Only an exact plan needs (and pays for) the identity verdict.
+            assert probe.identical is None
+        exact = compile_plan(model, 3)
+        for layer, (_name, form) in zip(convs, exact.conv_formulations):
+            probe = conv_probes()[(3, ConvShape.of(layer))]
+            assert isinstance(probe.identical, bool)
+            assert form == ("direct" if probe.identical else "im2col")
+
+    def test_sliced_plan_reports_its_slices_formulations(self, forced_ranking):
+        forced_ranking("im2col")
+        model = network_table()["mnist_reduced"].builder()
+        plan = compile_plan(model, 256, fused=True, slice_workers=2)
+        assert plan.conv_formulations == tuple(
+            (conv, "im2col") for conv in _conv_names(model)
+        )
 
 
 class TestPlanErrors:
